@@ -22,8 +22,8 @@ from pyspark.sql import functions as F
 
 from ..graphs.alldense import all_densest
 from ..graphs.cliques import list_cliques
-from ..graphs.graph import relabel
-from ..graphs.patterns import PATTERNS, enumerate_instances, instance_pattern_edges
+from ..graphs.graph import induced_mask, relabel
+from ..graphs.patterns import enumerate_instances, instance_pattern_edges
 from .sampling import sample_block
 from .uncertain import UncertainGraph
 
@@ -34,12 +34,10 @@ def _induced_density(
     """Density of the subgraph induced by U in a deterministic graph."""
     if not U:
         return Fraction(0)
-    keep = np.array(
-        [int(u) in U and int(v) in U for u, v in edges], dtype=bool
-    ) if len(edges) else np.zeros(0, dtype=bool)
-    sub = edges[keep] if len(edges) else edges
+    keep = induced_mask(edges, U)
     if notion == "edge":
-        return Fraction(len(sub), len(U))
+        return Fraction(int(np.count_nonzero(keep)), len(U))
+    sub = edges[keep]
     ce, ids = relabel(sub)
     n = len(ids)
     if notion.startswith("clique:"):
@@ -115,9 +113,7 @@ def expected_density(ug: UncertainGraph, U: frozenset[int], notion: str = "edge"
     """
     if not U:
         return 0.0
-    keep = np.array(
-        [int(u) in U and int(v) in U for u, v in ug.edges], dtype=bool
-    )
+    keep = induced_mask(ug.edges, U)
     sub_e = ug.edges[keep]
     sub_p = ug.probs[keep]
     if notion == "edge":

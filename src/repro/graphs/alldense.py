@@ -25,14 +25,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cliques import clique_degrees, list_cliques, sub_cliques
+from .cliques import list_cliques, sub_cliques
 from .goldberg import (
     build_clique_network,
     build_edge_network,
     build_pattern_network,
     goldberg_search,
 )
-from .graph import canonical_edges, degrees, induced_edge_count, relabel
+from .graph import canonical_edges, induced_edge_count, induced_mask, relabel
 from .kcore import k_core_nodes
 from .patterns import PATTERNS, enumerate_instances, group_instances
 from .peeling import charikar_peel, instance_core, instance_peel
@@ -139,9 +139,7 @@ def all_densest_edge(
     n = len(ids)
     rho_tilde, peel_set = charikar_peel(ce, n)
     core = k_core_nodes(ce, n, int(np.ceil(rho_tilde)))
-    core_set = set(int(v) for v in core)
-    keep = np.array([u in core_set and v in core_set for u, v in ce])
-    ce2, ids2 = relabel(ce[keep])
+    ce2, ids2 = relabel(ce[induced_mask(ce, core)])
     n2 = len(ids2)
     if n2 == 0:  # degenerate: peel found a single edge graph etc.
         ce2, ids2, n2 = ce, ids, n
@@ -156,7 +154,8 @@ def all_densest_edge(
     new_of_old = {int(o): i for i, o in enumerate(old_of_new)}
     witness = {new_of_old[v] for v in peel_set if v in new_of_old}
     if not witness or density_of(witness) < rho_tilde:
-        # peel set survived pruning by construction; fall back defensively
+        # the peel set can reach outside the core; the whole core is still
+        # an achieved lower bound (every densest subgraph lies inside it)
         witness = set(range(n2))
     lo = density_of(witness)
 
@@ -195,10 +194,7 @@ def all_densest_clique(
     pos = {int(v): i for i, v in enumerate(core_ids)}
     n2 = len(core_ids)
     cl2 = [tuple(sorted(pos[v] for v in c)) for c in core_cliques]
-    keep = np.array([u in core_set and v in core_set for u, v in ce])
-    ce2 = np.array(
-        [[pos[int(u)], pos[int(v)]] for u, v in ce[keep]], dtype=np.int64
-    ).reshape(-1, 2)
+    ce2 = np.searchsorted(core_ids, ce[induced_mask(ce, core_set)])
     lambdas = sub_cliques(cl2)
     cl2_per_node: list[list[int]] = [[] for _ in range(n2)]
     for i, c in enumerate(cl2):

@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import degrees
 from .maxflow import FlowNetwork
 
 # A builder returns (net, s, t, v_node_ids) where v_node_ids[i] is the
@@ -165,10 +164,18 @@ def goldberg_search(
         if flow < total:
             side = net.min_cut_source_side(s)
             cand = {v for v in range(n) if vid[v] in side}
-            assert cand, "feasible cut must expose a non-trivial source side"
-            witness = cand
-            lo = density_of(cand)
-            assert lo > alpha
+            if not cand:
+                raise RuntimeError(
+                    f"cut below total capacity at alpha={alpha} left no "
+                    "graph node on the source side"
+                )
+            dens = density_of(cand)
+            if dens <= alpha:
+                raise RuntimeError(
+                    f"source side of the cut at alpha={alpha} has density "
+                    f"{dens}, not above alpha"
+                )
+            witness, lo = cand, dens
         else:
             hi = alpha
     return lo, witness

@@ -1,8 +1,9 @@
-"""Peeling algorithms: Charikar edge peel and instance-based peels.
+"""Peeling algorithms: batch edge peel and instance-based peels.
 
-``charikar_peel`` gives the classic 1/2-approximation for edge density —
-used as the lower bound ρ̃ that prunes each sampled world to its
-⌈ρ̃⌉-core before the exact flow computation (Algorithm 1, Line 5).
+``charikar_peel`` gives the lower bound ρ̃ that prunes each sampled world
+to its ⌈ρ̃⌉-core before the exact flow computation (Algorithm 1, Line 5).
+It is the batch peel of Bahmani, Kumar & Vassilvitskii (PVLDB'12) at
+ε = 0, written as numpy passes over the edge array.
 
 ``instance_peel`` generalizes to h-clique / pattern density: instances
 are node tuples (the h-cliques or ψ-instances); the density of a node
@@ -17,69 +18,36 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import degrees
+from .graph import edge_mask
 
 
 def charikar_peel(edges: np.ndarray, n: int) -> tuple[Fraction, set[int]]:
-    """Greedy min-degree peel; returns (best density, best suffix node set).
+    """Batch peel; returns (best density, node set achieving it).
+
+    Each pass takes the live node set S (m_S edges inside, n_S nodes,
+    isolated nodes dropped) and removes every node whose degree in S is
+    at most 2·m_S/n_S, the average degree. The densest S seen is kept,
+    compared exactly by integer cross-multiplication.
 
     The returned density is an *achieved* density, hence a valid lower
-    bound ρ̃ ≤ ρ*; it is also ≥ ρ*/2 (Charikar 2000).
+    bound ρ̃ ≤ ρ*, and ρ̃ ≥ ρ*/2: every node of a densest set has degree
+    ≥ ρ* inside it, so the pass that first removes one of its nodes
+    peels an S with 2·ρ(S) ≥ ρ*. The minimum-degree node is always
+    removed, so there are at most n passes (a path needs n/2); sampled
+    biomine_lite worlds take 9–11. Each pass is an O(n + m_S) bincount.
     """
-    deg = degrees(edges, n)
-    alive = deg > 0
-    n_alive = int(alive.sum())
-    m_alive = len(edges)
-    if m_alive == 0:
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if len(e) == 0:
         return Fraction(0), set()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(int(v))
-        adj[v].append(int(u))
-    heap = [(int(deg[v]), int(v)) for v in range(n) if alive[v]]
-    heapq.heapify(heap)
-    best = Fraction(m_alive, n_alive)
-    removal_order: list[int] = []
-    cur_deg = deg.copy()
-    removed = np.zeros(n, dtype=bool)
-    while n_alive > 0 and heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or (not alive[v]) or d != cur_deg[v]:
-            continue
-        removed[v] = True
-        removal_order.append(v)
-        n_alive -= 1
-        m_alive -= int(cur_deg[v])
-        for w in adj[v]:
-            if alive[w] and not removed[w]:
-                cur_deg[w] -= 1
-                heapq.heappush(heap, (int(cur_deg[w]), int(w)))
-        if n_alive > 0:
-            dens = Fraction(m_alive, n_alive)
-            if dens > best:
-                best = dens
-    # Reconstruct the best suffix: the alive set right before density peaked.
-    # Cheap second pass: replay removals tracking density.
-    deg2 = degrees(edges, n)
-    alive_set = {v for v in range(n) if deg2[v] > 0}
-    m2 = len(edges)
-    best_set = set(alive_set)
-    best2 = Fraction(m2, len(alive_set))
-    cur = deg2.copy()
-    for v in removal_order:
-        alive_set.discard(v)
-        m2 -= int(cur[v])
-        for w in adj[v]:
-            if w in alive_set:
-                cur[w] -= 1
-        cur[v] = 0
-        if alive_set:
-            dens = Fraction(m2, len(alive_set))
-            if dens > best2:
-                best2 = dens
-                best_set = set(alive_set)
-    assert best2 == best
-    return best, best_set
+    deg = np.bincount(e.ravel(), minlength=n)
+    best_m, best_n, best_alive = 0, 1, deg > 0
+    while len(e):
+        m_s, n_s = len(e), int(np.count_nonzero(deg))
+        if m_s * best_n > best_m * n_s:
+            best_m, best_n, best_alive = m_s, n_s, deg > 0
+        e = e[edge_mask(e, deg * n_s > 2 * m_s)]
+        deg = np.bincount(e.ravel(), minlength=n)
+    return Fraction(best_m, best_n), set(np.flatnonzero(best_alive).tolist())
 
 
 def instance_peel(

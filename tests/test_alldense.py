@@ -161,3 +161,62 @@ def test_paper_example4_shape():
     assert {frozenset(s) for s in res.subgraphs} == {
         frozenset({A, B, C, D}), frozenset({B, C, D})
     }
+
+
+def _planted(seed, n, blocks):
+    """Sparse random background on n nodes (about n edges) with dense
+    blocks planted on disjoint node ranges, each tied to the background
+    by one bridge edge per block node."""
+    g = np.random.default_rng(seed)
+    edges = [tuple(x) for x in g.integers(0, n, size=(n, 2)).tolist()]
+    start = 0
+    for size, missing in blocks:
+        nodes = list(range(start, start + size))
+        block = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        edges += block[missing:]
+        edges += [(u, int(g.integers(start + size, n))) for u in nodes]
+        start += size
+    return canonical_edges(np.array(edges, dtype=np.int64))
+
+
+def _unpruned_oracle(e):
+    """Goldberg search and enumeration on the whole graph, no pruning."""
+    from repro.graphs.alldense import _enumerate_from_residual
+    from repro.graphs.goldberg import build_edge_network, goldberg_search
+    from repro.graphs.graph import induced_edge_count, relabel
+
+    ce, ids = relabel(e)
+    n = len(ids)
+
+    def builder(alpha):
+        return build_edge_network(ce, n, alpha)
+
+    rho, _ = goldberg_search(
+        builder, n, Fraction(len(ce), n), set(range(n)),
+        Fraction(n - 1, 2) + 1,
+        lambda S: Fraction(induced_edge_count(ce, S), len(S)),
+    )
+    net, s, t, vid, _ = builder(rho)
+    net.max_flow(s, t)
+    vid_of = {vid[i]: int(ids[i]) for i in range(n)}
+    subs, union, _ = _enumerate_from_residual(net, s, t, vid_of, 10_000)
+    return rho, subs, union, n
+
+
+@pytest.mark.parametrize(
+    "seed,n,blocks,n_densest",
+    [
+        (0, 300, [(7, 0)], 1),
+        (1, 800, [(6, 0), (6, 0)], 3),  # two tied K6 blocks
+        (2, 2000, [(8, 0), (7, 1), (6, 0)], 1),
+    ],
+)
+def test_pruned_kernel_matches_unpruned_oracle(seed, n, blocks, n_densest):
+    e = _planted(seed, n, blocks)
+    rho, subs, union, n_nodes = _unpruned_oracle(e)
+    res = all_densest_edge(e)
+    assert res.core_nodes < n_nodes  # pruning removed nodes
+    assert res.rho == rho
+    assert sorted(map(sorted, res.subgraphs)) == sorted(map(sorted, subs))
+    assert res.max_sized == union
+    assert res.n_densest == n_densest

@@ -128,3 +128,29 @@ def test_search_on_known_k5():
         Fraction(3), density_of,
     )
     assert rho == Fraction(2) and w == set(range(5))
+
+
+def test_search_raises_when_density_does_not_improve():
+    # K4 has a cut below total capacity at every α < 3/2; a density_of
+    # that never rises above the guess breaks the search invariant.
+    e = canonical_edges(np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]))
+    with pytest.raises(RuntimeError, match="not above alpha"):
+        goldberg_search(
+            lambda a: build_edge_network(e, 4, a), 4, Fraction(0), set(),
+            Fraction(2), lambda S: Fraction(0),
+        )
+
+
+def test_search_raises_on_empty_source_side():
+    # A network whose only unsaturated source arc leads to a non-graph
+    # node: the cut is below total capacity but holds no graph node.
+    from repro.graphs.maxflow import FlowNetwork
+
+    def builder(alpha):
+        net = FlowNetwork(5)  # s=0, t=1, graph nodes 2 and 3, extra node 4
+        net.add_edge(0, 4, 1)  # node 4 reaches nothing, so no flow
+        return net, 0, 1, [2, 3], 1
+
+    with pytest.raises(RuntimeError, match="no graph node"):
+        goldberg_search(builder, 2, Fraction(0), set(), Fraction(1),
+                        lambda S: Fraction(1))

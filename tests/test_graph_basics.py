@@ -101,3 +101,54 @@ def test_degree_sum_is_twice_edges(seed):
     g = np.random.default_rng(seed)
     e = canonical_edges(g.integers(0, 20, size=(60, 2)))
     assert degrees(e, 20).sum() == 2 * len(e)
+
+
+def _reference_canonical(e):
+    e = np.asarray(e, dtype=np.int64).reshape(-1, 2)
+    e = e[e[:, 0] != e[:, 1]]
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonical_matches_row_unique_reference(seed):
+    g = np.random.default_rng(seed)
+    top = int(g.choice([3, 50, 10_000, 2**31 - 1]))
+    e = g.integers(0, top, size=(int(g.integers(1, 400)), 2))
+    e = np.concatenate([e, e[: len(e) // 3, ::-1]])  # reversed duplicates
+    got = canonical_edges(e)
+    exp = _reference_canonical(e)
+    assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+
+
+def test_canonical_rejects_out_of_range_ids():
+    with pytest.raises(ValueError):
+        canonical_edges(np.array([[-1, 2]]))
+    with pytest.raises(ValueError):
+        canonical_edges(np.array([[0, 2**31]]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relabel_matches_searchsorted_reference(seed):
+    g = np.random.default_rng(seed)
+    e = canonical_edges(g.integers(0, 5_000, size=(300, 2)))
+    ce, ids = relabel(e)
+    exp_ids = np.unique(e)
+    assert np.array_equal(ids, exp_ids)
+    assert np.array_equal(ce, np.searchsorted(exp_ids, e))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_induced_filters_match_loop_reference(seed):
+    g = np.random.default_rng(seed)
+    e = canonical_edges(g.integers(0, 60, size=(200, 2)))
+    S = set(g.choice(80, size=30, replace=False).tolist())  # some ids > max
+    keep = [u in S and v in S for u, v in e.tolist()]
+    assert induced_edge_count(e, S) == sum(keep)
+    assert np.array_equal(induced_subgraph(e, S), e[np.array(keep, dtype=bool)])
+
+
+def test_induced_filters_ignore_ids_outside_the_graph():
+    e = np.array([[0, 1], [1, 2]])
+    assert induced_edge_count(e, {-1, 1, 7}) == 0  # -1 must not wrap to node 2
+    assert induced_subgraph(e, {1, 2, 7}).tolist() == [[1, 2]]

@@ -102,3 +102,49 @@ def test_instance_core_removal_cascade():
 def test_instance_peel_empty():
     best, s, order, dens, degs = instance_peel([], 4)
     assert best == 0 and s == set() and order == [] and dens == []
+
+
+def _clique(nodes):
+    return [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+
+
+def _path(nodes):
+    return list(zip(nodes[:-1], nodes[1:]))
+
+
+# Shapes whose batch peel needs many passes, with their exact ρ*.
+PEEL_SHAPES = {
+    "path_2000": (_path(list(range(2000))), 2000, Fraction(1999, 2000)),
+    "star_500": ([(0, v) for v in range(1, 501)], 501, Fraction(500, 501)),
+    "k5_tail_500": (_clique(list(range(5))) + _path(list(range(4, 505))), 505, Fraction(2)),
+    "k5_and_k6": (_clique(list(range(5))) + _clique(list(range(5, 11))), 11, Fraction(5, 2)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PEEL_SHAPES))
+def test_batch_peel_many_passes_is_achieved_and_half_approx(shape):
+    edge_list, n, rho = PEEL_SHAPES[shape]
+    e = canonical_edges(np.array(edge_list, dtype=np.int64))
+    best, best_set = charikar_peel(e, n)
+    assert best_set
+    cnt = sum(1 for u, v in e.tolist() if u in best_set and v in best_set)
+    assert Fraction(cnt, len(best_set)) == best
+    assert best <= rho <= 2 * best
+
+
+def test_k_core_drops_long_tail():
+    edge_list, n, _ = PEEL_SHAPES["k5_tail_500"]
+    e = canonical_edges(np.array(edge_list, dtype=np.int64))
+    assert k_core_nodes(e, n, 2).tolist() == [0, 1, 2, 3, 4]
+    assert k_core_nodes(e, n, 1).tolist() == list(range(n))
+    assert k_core_nodes(e, n, 5).size == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_k_core_matches_brute_n300(seed, k):
+    g = np.random.default_rng(100 + seed)
+    n = 300
+    e = canonical_edges(g.integers(0, n, size=(int(g.integers(300, 900)), 2)))
+    got = set(k_core_nodes(e, n, k).tolist())
+    assert got == brute_k_core([tuple(x) for x in e.tolist()], n, k)
