@@ -11,6 +11,11 @@ weighted instance density with instance weight Π edge probs. The
 weighted flow network generalizes the pattern network of Algorithm 7
 with per-group weights; we reuse the grouped builder with integer
 weights (the group "count" becomes the scaled weight sum).
+
+The instances come from ``alldense.notion_instances``, the achieved
+lower bound and witness from the integer-weighted ``instance_peel``, and
+the pruning from the weighted ``k_core_nodes`` — the primitives of the
+per-world kernel, given instance weights as data.
 """
 from __future__ import annotations
 
@@ -19,99 +24,18 @@ from fractions import Fraction
 import numpy as np
 
 from ..core.uncertain import UncertainGraph
-from ..graphs.cliques import list_cliques
+from ..graphs.alldense import notion_instances
 from ..graphs.goldberg import (
     build_edge_network,
     build_pattern_network,
     goldberg_search,
 )
-from ..graphs.graph import relabel
-from ..graphs.patterns import PATTERNS, enumerate_instances, instance_pattern_edges
+from ..graphs.graph import edge_mask, relabel
+from ..graphs.kcore import k_core_nodes
+from ..graphs.patterns import instance_pattern_edges
+from ..graphs.peeling import instance_peel
 
 SCALE = 1_000_000
-
-
-def _weighted_peel(
-    items: list[tuple[tuple[int, ...], int]], n: int
-) -> tuple[Fraction, set[int]]:
-    """Greedy min-weighted-degree peel over weighted instances.
-
-    Achieved-density lower bound + witness for the weighted search.
-    """
-    import heapq
-
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    for i, (nodes, _w) in enumerate(items):
-        for v in nodes:
-            inst_of[v].append(i)
-    wdeg = np.zeros(n, dtype=np.int64)
-    for i, (nodes, w) in enumerate(items):
-        for v in nodes:
-            wdeg[v] += w
-    alive = np.array([len(inst_of[v]) > 0 for v in range(n)])
-    total = sum(w for _, w in items)
-    n_alive = int(alive.sum())
-    if n_alive == 0:
-        return Fraction(0), set()
-    item_alive = [True] * len(items)
-    heap = [(int(wdeg[v]), v) for v in range(n) if alive[v]]
-    heapq.heapify(heap)
-    best = Fraction(total, n_alive)
-    cur_set = {v for v in range(n) if alive[v]}
-    best_set = set(cur_set)
-    removed = np.zeros(n, dtype=bool)
-    while n_alive > 0 and heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != wdeg[v]:
-            continue
-        removed[v] = True
-        cur_set.discard(v)
-        n_alive -= 1
-        for i in inst_of[v]:
-            if item_alive[i]:
-                item_alive[i] = False
-                nodes, w = items[i]
-                total -= w
-                for u in nodes:
-                    if u != v and not removed[u]:
-                        wdeg[u] -= w
-                        heapq.heappush(heap, (int(wdeg[u]), u))
-        if n_alive > 0:
-            dens = Fraction(total, n_alive)
-            if dens > best:
-                best = dens
-                best_set = set(cur_set)
-    return best, best_set
-
-
-def _weighted_core(
-    items: list[tuple[tuple[int, ...], int]], n: int, thresh: Fraction
-) -> set[int]:
-    """Nodes surviving iterative removal of weighted degree < thresh."""
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    wdeg = np.zeros(n, dtype=np.int64)
-    for i, (nodes, w) in enumerate(items):
-        for v in nodes:
-            inst_of[v].append(i)
-            wdeg[v] += w
-    alive = wdeg > 0
-    item_alive = [True] * len(items)
-    queue = [v for v in range(n) if alive[v] and wdeg[v] < thresh]
-    for v in queue:
-        alive[v] = False
-    while queue:
-        v = queue.pop()
-        for i in inst_of[v]:
-            if item_alive[i]:
-                item_alive[i] = False
-                nodes, w = items[i]
-                for u in nodes:
-                    if u != v and alive[u]:
-                        wdeg[u] -= w
-                        if wdeg[u] < thresh:
-                            alive[u] = False
-                            queue.append(u)
-    return {v for v in range(n) if alive[v]}
 
 
 def expected_densest(
@@ -123,79 +47,57 @@ def expected_densest(
     if n == 0:
         return frozenset(), 0.0
     w_int = np.maximum(1, np.round(ug.probs * SCALE).astype(np.int64))
+    inst = notion_instances(ce, n, notion)
+    if len(inst) == 0:
+        return frozenset(), 0.0
     if notion == "edge":
-        items = [
-            (tuple(sorted((int(u), int(v)))), int(w))
-            for (u, v), w in zip(ce, w_int)
-        ]
-        prob_of = None
+        weights = w_int
     else:
         prob_of = {
             (int(u), int(v)): int(w) for (u, v), w in zip(ce, w_int)
         }
-        if notion.startswith("clique:"):
-            insts = list_cliques(ce, n, int(notion.split(":")[1]))
-            pat = None
-        else:
-            insts = enumerate_instances(ce, n, notion)
-            pat = notion
-        items = []
-        for inst in insts:
+        weights = []
+        for nodes in inst.tolist():
             w = 1.0
-            for a, b in instance_pattern_edges(inst, pat):
+            for a, b in instance_pattern_edges(nodes, notion):
                 w *= prob_of[(min(a, b), max(a, b))] / SCALE
-            items.append((tuple(inst), max(1, int(round(w * SCALE)))))
-    if not items:
-        return frozenset(), 0.0
-    lo, _ = _weighted_peel(items, n)
+            weights.append(max(1, int(round(w * SCALE))))
+        weights = np.array(weights, dtype=np.int64)
+    lo, _, _, _, _ = instance_peel(inst, n, weights)
     # Prune to the weighted core: any node of the weighted densest
     # subgraph has weighted instance degree ≥ ρ* ≥ ρ̃ (same exchange
-    # argument as the unweighted case), so iteratively dropping nodes
-    # with weighted degree < ρ̃ keeps the optimum intact.
-    core = _weighted_core(items, n, lo)
-    keep_ids = np.array(sorted(core), dtype=np.int64)
-    pos = {int(v): i for i, v in enumerate(keep_ids)}
-    items = [
-        (tuple(pos[v] for v in nodes), w)
-        for nodes, w in items
-        if all(v in core for v in nodes)
-    ]
-    ids = ids[keep_ids]
-    n = len(keep_ids)
-    if notion == "edge":
-        ce = np.array(
-            [sorted(nodes) for nodes, _ in items], dtype=np.int64
-        ).reshape(-1, 2)
-    if not items or n == 0:
-        return frozenset(), 0.0
-    lo, witness = _weighted_peel(items, n)
+    # argument as the unweighted case), and degrees are integers, so
+    # the ⌈ρ̃⌉-core keeps the optimum intact.
+    in_core = np.zeros(n, dtype=bool)
+    in_core[k_core_nodes(inst, n, int(np.ceil(lo)), weights)] = True
+    keep = edge_mask(inst, in_core)
+    inst, core_ids = relabel(inst[keep])
+    weights = weights[keep]
+    ids = ids[core_ids]
+    n = len(core_ids)
+    lo, witness, _, _, _ = instance_peel(inst, n, weights)
 
     def density_of(S: set[int]) -> Fraction:
-        tot = sum(w for nodes, w in items if all(v in S for v in nodes))
-        return Fraction(tot, len(S))
+        mask = np.zeros(n, dtype=bool)
+        mask[list(S)] = True
+        return Fraction(int(weights[edge_mask(inst, mask)].sum()), len(S))
 
-    hi = Fraction(sum(w for _, w in items), 1)
+    hi = Fraction(int(weights.sum()), 1)
     if notion == "edge":
-        weights = np.array([w for _, w in items], dtype=np.int64)
 
         def builder(alpha: Fraction):
-            return build_edge_network(ce, n, alpha, weights)
+            return build_edge_network(inst, n, alpha, weights)
 
     else:
         # grouped weighted-instance network: group weight = Σ instance
         # weights sharing a node set (generalizes Algorithm 7's |g|).
         groups: dict[frozenset[int], int] = {}
-        for nodes, w in items:
+        for nodes, w in zip(inst.tolist(), weights.tolist()):
             key = frozenset(nodes)
             groups[key] = groups.get(key, 0) + w
-        psz = (
-            int(notion.split(":")[1])
-            if notion.startswith("clique:")
-            else PATTERNS[notion].n_nodes
-        )
 
         def builder(alpha: Fraction):
-            return build_pattern_network(n, groups, psz, alpha)
+            return build_pattern_network(n, groups, inst.shape[1], alpha)
 
     # Densities are (Σ int weights)/|S|: gap ≥ 1/n² in weight units —
     # goldberg_search's termination rule applies unchanged.

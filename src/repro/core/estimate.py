@@ -20,10 +20,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from ..graphs.alldense import all_densest
-from ..graphs.cliques import list_cliques
+from ..graphs.alldense import all_densest, notion_instances
 from ..graphs.graph import induced_mask, relabel
-from ..graphs.patterns import enumerate_instances, instance_pattern_edges
+from ..graphs.patterns import instance_pattern_edges
 from .sampling import sample_block
 from .uncertain import UncertainGraph
 
@@ -34,17 +33,8 @@ def _induced_density(
     """Density of the subgraph induced by U in a deterministic graph."""
     if not U:
         return Fraction(0)
-    keep = induced_mask(edges, U)
-    if notion == "edge":
-        return Fraction(int(np.count_nonzero(keep)), len(U))
-    sub = edges[keep]
-    ce, ids = relabel(sub)
-    n = len(ids)
-    if notion.startswith("clique:"):
-        cnt = len(list_cliques(ce, n, int(notion.split(":")[1])))
-    else:
-        cnt = len(enumerate_instances(ce, n, notion))
-    return Fraction(cnt, len(U))
+    ce, ids = relabel(edges[induced_mask(edges, U)])
+    return Fraction(len(notion_instances(ce, len(ids), notion)), len(U))
 
 
 def estimate_set_probs(
@@ -122,17 +112,10 @@ def expected_density(ug: UncertainGraph, U: frozenset[int], notion: str = "edge"
         (int(u), int(v)): float(p) for (u, v), p in zip(sub_e, sub_p)
     }
     ce, ids = relabel(sub_e)
-    n = len(ids)
-    if notion.startswith("clique:"):
-        insts = list_cliques(ce, n, int(notion.split(":")[1]))
-        pat = None
-    else:
-        insts = enumerate_instances(ce, n, notion)
-        pat = notion
     total = 0.0
-    for inst in insts:
+    for inst in notion_instances(ce, len(ids), notion).tolist():
         w = 1.0
-        for a, b in instance_pattern_edges(inst, pat):
+        for a, b in instance_pattern_edges(inst, notion):
             oa, ob = int(ids[a]), int(ids[b])
             w *= prob_of[(min(oa, ob), max(oa, ob))]
         total += w

@@ -8,7 +8,7 @@ frequencies τ̂ are then a Catalyst ``groupBy``/``sum`` aggregation and
 the top-k is a sort-limit. One row per (world, densest subgraph), plus
 one ``kind='max'`` row per world (the maximum-sized densest subgraph —
 Algorithm 5's candidate) and one ``kind='meta'`` row per world carrying
-ρ*, the number of densest subgraphs, and the sampler state size.
+ρ* and the number of densest subgraphs.
 """
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ from .uncertain import UncertainGraph
 
 WORLD_SCHEMA = (
     "world_id long, kind string, nodeset string, set_size int, "
-    "rho double, n_densest long, truncated boolean, weight double, "
-    "state_bytes long"
+    "rho double, n_densest long, truncated boolean, weight double"
 )
 
 
@@ -61,7 +60,7 @@ def world_results_df(
             if len(ids) == 0:
                 continue
             lo, hi = int(ids.min()), int(ids.max()) + 1
-            masks, weights, state = sample_block(
+            masks, weights, _ = sample_block(
                 probs, lo, hi, seed, method, theta
             )
             rows = []
@@ -91,22 +90,21 @@ def world_results_df(
                 for S in subs:
                     rows.append(
                         (int(wid), "ds", _key(S), len(S), rho,
-                         len(subs), truncated, w, state)
+                         len(subs), truncated, w)
                     )
                 if max_sized:
                     rows.append(
                         (int(wid), "max", _key(max_sized), len(max_sized),
-                         rho, len(subs), truncated, w, state)
+                         rho, len(subs), truncated, w)
                     )
                 rows.append(
-                    (int(wid), "meta", "", 0, rho, len(subs), truncated,
-                     w, state)
+                    (int(wid), "meta", "", 0, rho, len(subs), truncated, w)
                 )
             yield pd.DataFrame(
                 rows,
                 columns=[
                     "world_id", "kind", "nodeset", "set_size", "rho",
-                    "n_densest", "truncated", "weight", "state_bytes",
+                    "n_densest", "truncated", "weight",
                 ],
             )
 

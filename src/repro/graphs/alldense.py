@@ -6,7 +6,9 @@ residual graph under a max flow, SCC condensation, then every
 V) maps bijectively to a densest subgraph via C ∪ des(C) (Algorithm 3).
 Clique density is Algorithm 2 (flow network of Algorithm 6) and pattern
 density is Algorithm 4 (network of Algorithm 7) — same skeleton, Λ-nodes
-added to the network.
+added to the network. ``all_densest`` runs that skeleton once for every
+notion over the ``(m, r)`` instance array of ``notion_instances``; only
+the lister and the network builder depend on the notion.
 
 Per-world convention (matches the paper's Table I accounting): a world
 with no edge / no h-clique / no ψ-instance has maximum density 0 and
@@ -20,7 +22,7 @@ SCCs without enumeration, so NDS never truncates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,11 +34,13 @@ from .goldberg import (
     build_pattern_network,
     goldberg_search,
 )
-from .graph import canonical_edges, induced_edge_count, induced_mask, relabel
+from .graph import canonical_edges, degrees, edge_mask, relabel
 from .kcore import k_core_nodes
 from .patterns import PATTERNS, enumerate_instances, group_instances
-from .peeling import charikar_peel, instance_core, instance_peel
+from .peeling import charikar_peel, instance_peel
 from .scc import condensation, descendants_bitsets, tarjan_scc
+
+instance_core = k_core_nodes  # still patched by name in perfbench/spantrace.py
 
 
 @dataclass
@@ -49,7 +53,6 @@ class DensestResult:
     n_densest: int  # number enumerated (== len(subgraphs))
     truncated: bool = False
     core_nodes: int = 0  # pruned-core size (complexity reporting)
-    extras: dict = field(default_factory=dict)
 
 
 def _enumerate_from_residual(
@@ -79,7 +82,6 @@ def _enumerate_from_residual(
     anc = [0] * n_comps
     for c in nontrivial:
         m = des[c]
-        d = 0
         while m:
             low = m & -m
             anc[low.bit_length() - 1] |= 1 << c
@@ -128,149 +130,77 @@ def _enumerate_from_residual(
     return results, union_nodes, truncated
 
 
-def all_densest_edge(
-    edges: np.ndarray, max_enum: int = 100_000
-) -> DensestResult:
-    """All edge-densest subgraphs (Chang & Qiao pipeline, exact)."""
-    e = canonical_edges(edges)
-    if len(e) == 0:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    ce, ids = relabel(e)
-    n = len(ids)
-    rho_tilde, peel_set = charikar_peel(ce, n)
-    core = k_core_nodes(ce, n, int(np.ceil(rho_tilde)))
-    ce2, ids2 = relabel(ce[induced_mask(ce, core)])
-    n2 = len(ids2)
-    if n2 == 0:  # degenerate: peel found a single edge graph etc.
-        ce2, ids2, n2 = ce, ids, n
-        ids2 = np.arange(n, dtype=np.int64)
-    id2_set_density_edges = ce2
-
-    def density_of(S: set[int]) -> Fraction:
-        return Fraction(induced_edge_count(id2_set_density_edges, S), len(S))
-
-    # Map peel witness into the core labelling when possible.
-    old_of_new = ids2  # position → old compact id
-    new_of_old = {int(o): i for i, o in enumerate(old_of_new)}
-    witness = {new_of_old[v] for v in peel_set if v in new_of_old}
-    if not witness or density_of(witness) < rho_tilde:
-        # the peel set can reach outside the core; the whole core is still
-        # an achieved lower bound (every densest subgraph lies inside it)
-        witness = set(range(n2))
-    lo = density_of(witness)
-
-    def builder(alpha: Fraction):
-        return build_edge_network(ce2, n2, alpha)
-
-    hi = Fraction(n2 - 1, 2) + 1 if n2 >= 2 else Fraction(1)
-    rho, _ = goldberg_search(builder, n2, lo, witness, hi, density_of)
-    # Exact enumeration at α = ρ*.
-    net, s, t, vid, _total = builder(rho)
-    net.max_flow(s, t)
-    vid_of = {vid[i]: int(ids[old_of_new[i]]) for i in range(n2)}
-    subs, union_nodes, truncated = _enumerate_from_residual(
-        net, s, t, vid_of, max_enum
-    )
-    return DensestResult(rho, subs, union_nodes, len(subs), truncated, n2)
+def notion_instances(edges: np.ndarray, n: int, notion: str) -> np.ndarray:
+    """The instances of ``notion`` in a compact graph, as an ``(m, r)``
+    int64 array: the edges themselves for 'edge' (r = 2), the h-cliques
+    for 'clique:h' (r = h), the ψ-instances for a pattern name in
+    ``PATTERNS`` (r = |V_ψ|). The only parser of notion strings."""
+    if notion == "edge":
+        return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if notion.startswith("clique:"):
+        r = int(notion.split(":")[1])
+        found = list_cliques(edges, n, r)
+    else:
+        found = enumerate_instances(edges, n, notion)
+        r = PATTERNS[notion].n_nodes
+    return np.array(found, dtype=np.int64).reshape(-1, r)
 
 
-def all_densest_clique(
-    edges: np.ndarray, h: int, max_enum: int = 100_000
-) -> DensestResult:
-    """Algorithm 2: all h-clique-densest subgraphs (exact)."""
-    e = canonical_edges(edges)
-    if len(e) == 0:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    ce, ids = relabel(e)
-    n = len(ids)
-    cliques = list_cliques(ce, n, h)
-    if not cliques:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    rho_tilde, _peel_set, _, _, _ = instance_peel(cliques, n)
-    core_set = instance_core(cliques, n, int(np.ceil(rho_tilde)))
-    core_cliques = [c for c in cliques if all(v in core_set for v in c)]
-    # Relabel core
-    core_ids = np.array(sorted(core_set), dtype=np.int64)
-    pos = {int(v): i for i, v in enumerate(core_ids)}
-    n2 = len(core_ids)
-    cl2 = [tuple(sorted(pos[v] for v in c)) for c in core_cliques]
-    ce2 = np.searchsorted(core_ids, ce[induced_mask(ce, core_set)])
-    lambdas = sub_cliques(cl2)
-    cl2_per_node: list[list[int]] = [[] for _ in range(n2)]
-    for i, c in enumerate(cl2):
-        for v in c:
-            cl2_per_node[v].append(i)
-
-    def density_of(S: set[int]) -> Fraction:
-        cnt = sum(1 for c in cl2 if all(v in S for v in c))
-        return Fraction(cnt, len(S))
-
-    # Achieved lower bound: rerun the peel on the core (peel set maps
-    # awkwardly through relabelling; recomputing is cheap and safe).
-    lo, witness, _, _, _ = instance_peel(cl2, n2)
-    hi = Fraction(len(cl2), 1)
-
-    def builder(alpha: Fraction):
-        return build_clique_network(ce2, n2, cl2, lambdas, alpha)
-
-    rho, _ = goldberg_search(builder, n2, lo, witness, hi, density_of)
-    net, s, t, vid, _total = builder(rho)
-    net.max_flow(s, t)
-    vid_of = {vid[i]: int(ids[core_ids[i]]) for i in range(n2)}
-    subs, union_nodes, truncated = _enumerate_from_residual(
-        net, s, t, vid_of, max_enum
-    )
-    return DensestResult(rho, subs, union_nodes, len(subs), truncated, n2)
-
-
-def all_densest_pattern(
-    edges: np.ndarray, pattern: str, max_enum: int = 100_000
-) -> DensestResult:
-    """Algorithm 4: all ψ-densest subgraphs (exact)."""
-    psi = PATTERNS[pattern]
-    e = canonical_edges(edges)
-    if len(e) == 0:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    ce, ids = relabel(e)
-    n = len(ids)
-    instances = enumerate_instances(ce, n, psi)
-    if not instances:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    rho_tilde, _ps, _, _, _ = instance_peel(instances, n)
-    core_set = instance_core(instances, n, int(np.ceil(rho_tilde)))
-    core_insts = [c for c in instances if all(v in core_set for v in c)]
-    core_ids = np.array(sorted(core_set), dtype=np.int64)
-    pos = {int(v): i for i, v in enumerate(core_ids)}
-    n2 = len(core_ids)
-    insts2 = [tuple(pos[v] for v in c) for c in core_insts]
-    groups = group_instances(insts2)
-
-    def density_of(S: set[int]) -> Fraction:
-        cnt = sum(1 for c in insts2 if all(v in S for v in c))
-        return Fraction(cnt, len(S))
-
-    lo, witness, _, _, _ = instance_peel(insts2, n2)
-    hi = Fraction(len(insts2), 1)
-
-    def builder(alpha: Fraction):
-        return build_pattern_network(n2, groups, psi.n_nodes, alpha)
-
-    rho, _ = goldberg_search(builder, n2, lo, witness, hi, density_of)
-    net, s, t, vid, _total = builder(rho)
-    net.max_flow(s, t)
-    vid_of = {vid[i]: int(ids[core_ids[i]]) for i in range(n2)}
-    subs, union_nodes, truncated = _enumerate_from_residual(
-        net, s, t, vid_of, max_enum
-    )
-    return DensestResult(rho, subs, union_nodes, len(subs), truncated, n2)
+def _network_builder(notion: str, inst: np.ndarray, n: int):
+    """α ↦ the flow network of ``notion`` over the core's instances:
+    Goldberg's for edges, Algorithm 7's for patterns, Algorithm 6's for
+    h-cliques."""
+    if notion == "edge":
+        return lambda alpha: build_edge_network(inst, n, alpha)
+    if notion in PATTERNS:
+        groups = group_instances(inst.tolist())
+        return lambda alpha: build_pattern_network(n, groups, inst.shape[1], alpha)
+    cliques = [tuple(c) for c in inst.tolist()]
+    lambdas = sub_cliques(cliques)
+    return lambda alpha: build_clique_network(n, cliques, lambdas, alpha)
 
 
 def all_densest(
     edges: np.ndarray, notion: str, max_enum: int = 100_000
 ) -> DensestResult:
-    """Dispatch by density notion: 'edge', 'clique:h', or a pattern name."""
-    if notion == "edge":
-        return all_densest_edge(edges, max_enum)
-    if notion.startswith("clique:"):
-        return all_densest_clique(edges, int(notion.split(":")[1]), max_enum)
-    return all_densest_pattern(edges, notion, max_enum)
+    """All densest subgraphs for 'edge', 'clique:h' or a pattern name.
+
+    One pipeline for every notion: list the instances, prune to the
+    ⌈ρ̃⌉-core of the batch peel's ρ̃ (every densest set lies inside it:
+    each of its nodes has instance degree ≥ ρ* ≥ ρ̃), search ρ* between
+    the sequential peel's achieved density on the core and the core's
+    largest instance degree over r (ρ(S) is the mean degree in S over
+    r), then enumerate from the residual graph of the flow at ρ*.
+    """
+    empty = DensestResult(Fraction(0), [], frozenset(), 0)
+    e = canonical_edges(edges)
+    if len(e) == 0:
+        return empty
+    ce, ids = relabel(e)
+    n = len(ids)
+    inst = notion_instances(ce, n, notion)
+    if len(inst) == 0:
+        return empty
+    rho_tilde, _ = charikar_peel(inst, n)
+    in_core = np.zeros(n, dtype=bool)
+    in_core[k_core_nodes(inst, n, int(np.ceil(rho_tilde)))] = True
+    inst, core_ids = relabel(inst[edge_mask(inst, in_core)])
+    n2 = len(core_ids)
+    r = inst.shape[1]
+
+    def density_of(S: set[int]) -> Fraction:
+        mask = np.zeros(n2, dtype=bool)
+        mask[list(S)] = True
+        return Fraction(int(np.count_nonzero(edge_mask(inst, mask))), len(S))
+
+    lo, witness, _, _, _ = instance_peel(inst, n2)
+    hi = Fraction(int(degrees(inst, n2).max()), r)
+    builder = _network_builder(notion, inst, n2)
+    rho, _ = goldberg_search(builder, n2, lo, witness, hi, density_of)
+    net, s, t, vid, _total = builder(rho)
+    net.max_flow(s, t)
+    vid_of = {vid[i]: int(ids[core_ids[i]]) for i in range(n2)}
+    subs, union_nodes, truncated = _enumerate_from_residual(
+        net, s, t, vid_of, max_enum
+    )
+    return DensestResult(rho, subs, union_nodes, len(subs), truncated, n2)

@@ -1,41 +1,13 @@
-"""h-clique listing (kClist-style, degeneracy ordering) and clique degrees.
+"""h-clique listing (kClist-style, degeneracy ordering) and Λ.
 
 Used by Algorithm 2 (all clique-densest subgraphs): the flow network has
-one node per (h−1)-clique contained in an h-clique, and clique degrees
-drive the (k, h)-core pruning.
+one node per (h−1)-clique contained in an h-clique.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import degrees
-
-
-def degeneracy_order(edges: np.ndarray, n: int) -> np.ndarray:
-    """Peel order (min-degree first); position[v] gives v's rank."""
-    import heapq
-
-    deg = degrees(edges, n)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(int(v))
-        adj[v].append(int(u))
-    heap = [(int(deg[v]), int(v)) for v in range(n)]
-    heapq.heapify(heap)
-    removed = np.zeros(n, dtype=bool)
-    cur = deg.copy()
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != cur[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in adj[v]:
-            if not removed[w]:
-                cur[w] -= 1
-                heapq.heappush(heap, (int(cur[w]), int(w)))
-    return np.array(order, dtype=np.int64)
+from .peeling import instance_peel
 
 
 def list_cliques(edges: np.ndarray, n: int, h: int) -> list[tuple[int, ...]]:
@@ -50,7 +22,7 @@ def list_cliques(edges: np.ndarray, n: int, h: int) -> list[tuple[int, ...]]:
         return []
     if h == 2:
         return [tuple(sorted((int(u), int(v)))) for u, v in edges]
-    order = degeneracy_order(edges, n)
+    order = instance_peel(edges, n)[2]  # degeneracy order
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(len(order))
     fwd: list[list[int]] = [[] for _ in range(n)]  # neighbors later in order
@@ -76,17 +48,6 @@ def list_cliques(edges: np.ndarray, n: int, h: int) -> list[tuple[int, ...]]:
     for u in range(n):
         extend([u], fwd[u])
     return out
-
-
-def clique_degrees(
-    cliques: list[tuple[int, ...]], n: int
-) -> np.ndarray:
-    """deg_G(v, h): number of listed cliques containing each node."""
-    deg = np.zeros(n, dtype=np.int64)
-    for cl in cliques:
-        for v in cl:
-            deg[v] += 1
-    return deg
 
 
 def sub_cliques(cliques: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .graph import degrees
 from .maxflow import FlowNetwork
 
 # A builder returns (net, s, t, v_node_ids) where v_node_ids[i] is the
@@ -43,10 +44,7 @@ def build_edge_network(
     w = weights if weights is not None else np.ones(len(edges), dtype=np.int64)
     net = FlowNetwork(n + 2)
     s, t = 0, 1
-    wdeg = np.zeros(n, dtype=np.int64)
-    if len(edges):
-        np.add.at(wdeg, edges[:, 0], w)
-        np.add.at(wdeg, edges[:, 1], w)
+    wdeg = degrees(edges, n, weights)
     total = 0
     for v in range(n):
         if wdeg[v] > 0:
@@ -59,7 +57,6 @@ def build_edge_network(
 
 
 def build_clique_network(
-    edges: np.ndarray,
     n: int,
     cliques: list[tuple[int, ...]],
     lambdas: list[tuple[int, ...]],

@@ -59,18 +59,27 @@ def relabel(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return compact_of[e], np.flatnonzero(present)
 
 
-def degrees(edges: np.ndarray, n: int) -> np.ndarray:
-    """Degree vector for compact node ids ``0..n-1``."""
-    deg = np.zeros(n, dtype=np.int64)
-    if edges.size:
-        np.add.at(deg, edges[:, 0], 1)
-        np.add.at(deg, edges[:, 1], 1)
+def degrees(
+    rows: np.ndarray, n: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Degree vector of compact nodes ``0..n-1`` over ``(m, r)`` rows
+    (edges or instances): each row adds its weight (1 when ``weights`` is
+    omitted) to each of its nodes. Weighted sums stay exact int64."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if weights is None:
+        return np.bincount(rows.ravel(), minlength=n)
+    deg = np.zeros(n, dtype=np.int64)  # bincount would sum float weights
+    np.add.at(deg, rows, np.asarray(weights, dtype=np.int64)[:, None])
     return deg
 
 
-def edge_mask(edges: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row mask of the edges whose two endpoints are both set in ``mask``."""
-    return mask[edges[:, 0]] & mask[edges[:, 1]]
+def edge_mask(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row mask of the ``(m, r)`` rows (edges, or instances of any width)
+    whose nodes are all set in ``mask``."""
+    keep = mask[rows[:, 0]]
+    for j in range(1, rows.shape[1]):
+        keep &= mask[rows[:, j]]
+    return keep
 
 
 def induced_mask(

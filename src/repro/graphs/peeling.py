@@ -1,15 +1,22 @@
-"""Peeling algorithms: batch edge peel and instance-based peels.
+"""Peeling over instance arrays: one batch peel and one sequential peel.
+
+Every density notion is a density over *instances*: an ``(m, r)`` int64
+array whose rows are node tuples — edges (r = 2), h-cliques (r = h) or
+ψ-instances (r = |V_ψ|); ``alldense.notion_instances`` lists them. The
+density of a node set S is the (weighted) number of instances inside S
+over |S|, and a node's instance degree is the (weighted) number of
+instances that contain it.
 
 ``charikar_peel`` gives the lower bound ρ̃ that prunes each sampled world
 to its ⌈ρ̃⌉-core before the exact flow computation (Algorithm 1, Line 5).
 It is the batch peel of Bahmani, Kumar & Vassilvitskii (PVLDB'12) at
-ε = 0, written as numpy passes over the edge array.
+ε = 0, written as numpy passes over the instance array.
 
-``instance_peel`` generalizes to h-clique / pattern density: instances
-are node tuples (the h-cliques or ψ-instances); the density of a node
-set is (#instances fully inside) / |set|. It also powers the
-(k, h)-core / (k, ψ)-core (``instance_core``) and the heuristic
-dense-subgraph method of §III-C.
+``instance_peel`` is the sequential min-degree peel. Its best suffix is
+the achieved lower bound and witness of the density search and of the
+EDS baseline; its removal order is kClist's degeneracy order; the
+running max of its popped degrees gives core numbers (Batagelj–
+Zaversnik), which drive the heuristic of §III-C.
 """
 from __future__ import annotations
 
@@ -18,42 +25,49 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import edge_mask
+from .graph import degrees, edge_mask
 
 
-def charikar_peel(edges: np.ndarray, n: int) -> tuple[Fraction, set[int]]:
+def charikar_peel(instances: np.ndarray, n: int) -> tuple[Fraction, set[int]]:
     """Batch peel; returns (best density, node set achieving it).
 
-    Each pass takes the live node set S (m_S edges inside, n_S nodes,
-    isolated nodes dropped) and removes every node whose degree in S is
-    at most 2·m_S/n_S, the average degree. The densest S seen is kept,
-    compared exactly by integer cross-multiplication.
+    Each pass takes the live node set S (m_S instances inside, n_S nodes,
+    nodes in no live instance dropped) and removes every node whose
+    instance degree in S is at most r·m_S/n_S, the average degree. The
+    densest S seen is kept, compared exactly by integer
+    cross-multiplication.
 
     The returned density is an *achieved* density, hence a valid lower
-    bound ρ̃ ≤ ρ*, and ρ̃ ≥ ρ*/2: every node of a densest set has degree
+    bound ρ̃ ≤ ρ*, and ρ̃ ≥ ρ*/r: every node of a densest set has degree
     ≥ ρ* inside it, so the pass that first removes one of its nodes
-    peels an S with 2·ρ(S) ≥ ρ*. The minimum-degree node is always
+    peels an S with r·ρ(S) ≥ ρ*. The minimum-degree node is always
     removed, so there are at most n passes (a path needs n/2); sampled
-    biomine_lite worlds take 9–11. Each pass is an O(n + m_S) bincount.
+    biomine_lite worlds take 9–11. Each pass is an O(n + r·m_S) bincount.
     """
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(e) == 0:
+    inst = np.asarray(instances, dtype=np.int64)
+    if inst.size == 0:
         return Fraction(0), set()
-    deg = np.bincount(e.ravel(), minlength=n)
+    r = inst.shape[1]
+    deg = degrees(inst, n)
     best_m, best_n, best_alive = 0, 1, deg > 0
-    while len(e):
-        m_s, n_s = len(e), int(np.count_nonzero(deg))
+    while len(inst):
+        m_s, n_s = len(inst), int(np.count_nonzero(deg))
         if m_s * best_n > best_m * n_s:
             best_m, best_n, best_alive = m_s, n_s, deg > 0
-        e = e[edge_mask(e, deg * n_s > 2 * m_s)]
-        deg = np.bincount(e.ravel(), minlength=n)
+        inst = inst[edge_mask(inst, deg * n_s > r * m_s)]
+        deg = degrees(inst, n)
     return Fraction(best_m, best_n), set(np.flatnonzero(best_alive).tolist())
 
 
 def instance_peel(
-    instances: list[tuple[int, ...]], n: int
+    instances: np.ndarray, n: int, weights: np.ndarray | None = None
 ) -> tuple[Fraction, set[int], list[int], list[Fraction], list[int]]:
-    """Min-instance-degree peel for clique/pattern density.
+    """Sequential min-degree peel over (optionally weighted) instances.
+
+    ``weights`` gives each instance an integer weight (1 when omitted);
+    degrees and densities are sums of those weights, kept exact in
+    Python ints. Each step removes the node of least weighted degree,
+    ties broken by the smaller id, with its instances.
 
     Returns ``(best_density, best_suffix_set, removal_order,
     density_after_each_removal, degree_at_each_removal)``. The degree
@@ -62,79 +76,47 @@ def instance_peel(
     instance are treated as removed up front (they can never be in a
     densest subgraph with positive density).
     """
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    for i, inst in enumerate(instances):
-        for v in inst:
-            inst_of[v].append(i)
-    deg = np.array([len(inst_of[v]) for v in range(n)], dtype=np.int64)
-    alive = deg > 0
-    n_alive = int(alive.sum())
-    if not instances or n_alive == 0:
+    inst = np.asarray(instances, dtype=np.int64)
+    if inst.size == 0:
         return Fraction(0), set(), [], [], []
-    inst_alive = np.ones(len(instances), dtype=bool)
-    n_inst = len(instances)
-    heap = [(int(deg[v]), int(v)) for v in range(n) if alive[v]]
+    w = (np.ones(len(inst), dtype=np.int64) if weights is None
+         else np.asarray(weights, dtype=np.int64))
+    rows, w = inst.tolist(), w.tolist()
+    inst_of: list[list[int]] = [[] for _ in range(n)]
+    deg = [0] * n
+    for i, (nodes, wi) in enumerate(zip(rows, w)):
+        for v in nodes:
+            inst_of[v].append(i)
+            deg[v] += wi
+    alive = [v for v in range(n) if inst_of[v]]
+    heap = [(deg[v], v) for v in alive]
     heapq.heapify(heap)
-    best = Fraction(n_inst, n_alive)
-    best_set = {v for v in range(n) if alive[v]}
-    cur_set = set(best_set)
-    removal_order: list[int] = []
+    total, n_alive = sum(w), len(alive)
+    best, best_step = Fraction(total, n_alive), 0
+    inst_alive = [True] * len(rows)
+    removed = [False] * n
+    order: list[int] = []
     densities: list[Fraction] = []
     pop_degrees: list[int] = []
-    removed = np.zeros(n, dtype=bool)
-    while n_alive > 0 and heap:
+    while heap:
         d, v = heapq.heappop(heap)
         if removed[v] or d != deg[v]:
             continue
         removed[v] = True
-        removal_order.append(v)
-        pop_degrees.append(int(d))
-        cur_set.discard(v)
+        order.append(v)
+        pop_degrees.append(d)
         n_alive -= 1
         for i in inst_of[v]:
             if inst_alive[i]:
                 inst_alive[i] = False
-                n_inst -= 1
-                for w in instances[i]:
-                    if w != v and not removed[w]:
-                        deg[w] -= 1
-                        heapq.heappush(heap, (int(deg[w]), int(w)))
-        if n_alive > 0:
-            dens = Fraction(n_inst, n_alive)
-            densities.append(dens)
-            if dens > best:
-                best = dens
-                best_set = set(cur_set)
-        else:
-            densities.append(Fraction(0))
-    return best, best_set, removal_order, densities, pop_degrees
-
-
-def instance_core(
-    instances: list[tuple[int, ...]], n: int, k: int
-) -> set[int]:
-    """(k, ·)-core w.r.t. instance degree: maximal node set where every
-    node is contained in ≥ k surviving instances (instances count only
-    if all their nodes survive)."""
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    for i, inst in enumerate(instances):
-        for v in inst:
-            inst_of[v].append(i)
-    deg = np.array([len(inst_of[v]) for v in range(n)], dtype=np.int64)
-    alive = deg > 0
-    inst_alive = np.ones(len(instances), dtype=bool)
-    queue = [v for v in range(n) if alive[v] and deg[v] < k]
-    for v in queue:
-        alive[v] = False
-    while queue:
-        v = queue.pop()
-        for i in inst_of[v]:
-            if inst_alive[i]:
-                inst_alive[i] = False
-                for w in instances[i]:
-                    if w != v and alive[w]:
-                        deg[w] -= 1
-                        if deg[w] < k:
-                            alive[w] = False
-                            queue.append(w)
-    return {v for v in range(n) if alive[v]}
+                total -= w[i]
+                for u in rows[i]:
+                    if u != v and not removed[u]:
+                        deg[u] -= w[i]
+                        heapq.heappush(heap, (deg[u], u))
+        dens = Fraction(total, n_alive) if n_alive else Fraction(0)
+        densities.append(dens)
+        if dens > best:
+            best, best_step = dens, len(order)
+    best_set = set(alive).difference(order[:best_step])
+    return best, best_set, order, densities, pop_degrees

@@ -1,4 +1,4 @@
-"""Degree and triangle dataflow over edge DataFrames.
+"""Triangle dataflow over edge DataFrames.
 
 Edge DataFrames have columns (u, v, p) with u < v per row (canonical).
 """
@@ -6,22 +6,6 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-
-def degrees_df(edges: DataFrame) -> DataFrame:
-    """(node, degree) via symmetrize + groupBy."""
-    sym = edges.select(F.col("u").alias("node")).unionAll(
-        edges.select(F.col("v").alias("node"))
-    )
-    return sym.groupBy("node").agg(F.count("*").alias("degree"))
-
-
-def weighted_degrees_df(edges: DataFrame) -> DataFrame:
-    """(node, wdegree) with wdegree = Σ incident edge probabilities."""
-    sym = edges.select(F.col("u").alias("node"), "p").unionAll(
-        edges.select(F.col("v").alias("node"), "p")
-    )
-    return sym.groupBy("node").agg(F.sum("p").alias("wdegree"))
 
 
 def triangles_df(edges: DataFrame) -> DataFrame:

@@ -9,12 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.graphs.alldense import (
-    all_densest,
-    all_densest_clique,
-    all_densest_edge,
-    all_densest_pattern,
-)
+from repro.graphs.alldense import all_densest
 from repro.graphs.bruteforce import brute_all_densest
 from repro.graphs.graph import canonical_edges
 
@@ -45,28 +40,49 @@ def test_enumeration_matches_brute(seed, notion):
     assert res.max_sized == union
 
 
+def block_and_tail(seed):
+    """A near-K6 block on nodes 0..5 with a sparse 6-node tail hung off it,
+    so the ⌈ρ̃⌉-core is smaller than the graph for every notion."""
+    g = np.random.default_rng(seed)
+    block = [(u, v) for u in range(6) for v in range(u + 1, 6) if g.random() < 0.85]
+    tail = [(v, v + 1) for v in range(6, 11)] + [(int(g.integers(0, 6)), 6)]
+    tail += [tuple(g.integers(6, 12, size=2).tolist()) for _ in range(2)]
+    return canonical_edges(np.array(block + tail))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_pruned_pipeline_matches_brute(seed, notion):
+    e = block_and_tail(seed)
+    rho, exp_sets = brute_all_densest(e, notion)
+    res = all_densest(e, notion)
+    assert res.core_nodes < len(np.unique(e))  # the core step pruned
+    assert res.rho == rho
+    assert sorted(res.subgraphs, key=lambda s: (len(s), sorted(s))) == exp_sets
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_each_subgraph_enumerated_once(seed):
     e = random_graph(seed + 100)
-    res = all_densest_edge(e)
+    res = all_densest(e, "edge")
     assert len(set(res.subgraphs)) == len(res.subgraphs)
 
 
 def test_empty_graph():
-    for notion in ("edge", "clique:3", "diamond"):
+    for notion in NOTIONS:
         res = all_densest(np.empty((0, 2), dtype=np.int64), notion)
         assert res.rho == 0 and res.subgraphs == [] and res.max_sized == frozenset()
 
 
 def test_single_edge():
-    res = all_densest_edge(np.array([[4, 7]]))
+    res = all_densest(np.array([[4, 7]]), "edge")
     assert res.rho == Fraction(1, 2)
     assert res.subgraphs == [frozenset({4, 7})]
 
 
 def test_disconnected_ties_union():
     # two disjoint single edges tie at 1/2; union also ties
-    res = all_densest_edge(np.array([[0, 1], [5, 6]]))
+    res = all_densest(np.array([[0, 1], [5, 6]]), "edge")
     sets = {frozenset(s) for s in res.subgraphs}
     assert sets == {
         frozenset({0, 1}), frozenset({5, 6}), frozenset({0, 1, 5, 6})
@@ -80,14 +96,14 @@ def test_disjoint_triangles_combinatorics():
     for k in range(3):
         b = 3 * k
         tris += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
-    res = all_densest_edge(np.array(tris))
+    res = all_densest(np.array(tris), "edge")
     assert res.rho == Fraction(1)
     assert res.n_densest == 2**3 - 1
 
 
 def test_triangle_with_pendant():
     # triangle (3/3) ties the whole graph (4/4) at density 1
-    res = all_densest_edge(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]))
+    res = all_densest(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]), "edge")
     assert res.rho == Fraction(1)
     assert {frozenset(s) for s in res.subgraphs} == {
         frozenset({0, 1, 2}), frozenset({0, 1, 2, 3})
@@ -99,20 +115,20 @@ def test_clique_densest_k4_plus_pendant():
     e = canonical_edges(
         np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4]])
     )
-    res = all_densest_clique(e, 3)
+    res = all_densest(e, "clique:3")
     assert res.rho == Fraction(4, 4)
     assert res.subgraphs == [frozenset({0, 1, 2, 3})]
 
 
 def test_clique_no_instances():
     # a path has no triangle: clique:3 has no densest subgraph
-    res = all_densest_clique(np.array([[0, 1], [1, 2]]), 3)
+    res = all_densest(np.array([[0, 1], [1, 2]]), "clique:3")
     assert res.rho == 0 and res.subgraphs == []
 
 
 def test_pattern_no_instances():
     # single edge has no 2-star
-    res = all_densest_pattern(np.array([[0, 1]]), "2-star")
+    res = all_densest(np.array([[0, 1]]), "2-star")
     assert res.rho == 0 and res.subgraphs == []
 
 
@@ -121,7 +137,7 @@ def test_max_enum_truncation_flag():
     for k in range(6):  # 63 densest subgraphs
         b = 3 * k
         tris += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
-    res = all_densest_edge(np.array(tris), max_enum=5)
+    res = all_densest(np.array(tris), "edge", max_enum=5)
     assert res.truncated and res.n_densest == 5
     # union must still be complete despite truncation
     assert len(res.max_sized) == 18
@@ -129,7 +145,7 @@ def test_max_enum_truncation_flag():
 
 def test_original_labels_preserved():
     e = np.array([[100, 200], [200, 300], [100, 300]])
-    res = all_densest_edge(e)
+    res = all_densest(e, "edge")
     assert res.subgraphs == [frozenset({100, 200, 300})]
 
 
@@ -142,7 +158,7 @@ def test_clique5_on_denser_graphs(seed):
     ]
     e = canonical_edges(np.array(edges).reshape(-1, 2))
     rho, exp_sets = brute_all_densest(e, "clique:5")
-    res = all_densest_clique(e, 5)
+    res = all_densest(e, "clique:5")
     assert res.rho == rho
     assert sorted(res.subgraphs, key=lambda s: (len(s), sorted(s))) == exp_sets
 
@@ -156,7 +172,7 @@ def test_paper_example4_shape():
     """
     A, B, C, D = 0, 1, 2, 3
     e = canonical_edges(np.array([[A, B], [B, C], [B, D], [C, D]]))
-    res = all_densest_edge(e)
+    res = all_densest(e, "edge")
     assert res.rho == Fraction(1)
     assert {frozenset(s) for s in res.subgraphs} == {
         frozenset({A, B, C, D}), frozenset({B, C, D})
@@ -214,7 +230,7 @@ def _unpruned_oracle(e):
 def test_pruned_kernel_matches_unpruned_oracle(seed, n, blocks, n_densest):
     e = _planted(seed, n, blocks)
     rho, subs, union, n_nodes = _unpruned_oracle(e)
-    res = all_densest_edge(e)
+    res = all_densest(e, "edge")
     assert res.core_nodes < n_nodes  # pruning removed nodes
     assert res.rho == rho
     assert sorted(map(sorted, res.subgraphs)) == sorted(map(sorted, subs))

@@ -4,19 +4,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.graphs.cliques import (
-    clique_degrees,
-    degeneracy_order,
-    list_cliques,
-    sub_cliques,
-)
-from repro.graphs.graph import adjacency_sets, canonical_edges
+from repro.graphs.cliques import list_cliques, sub_cliques
+from repro.graphs.graph import adjacency_sets, canonical_edges, degrees
 from repro.graphs.patterns import (
     PATTERNS,
     enumerate_instances,
     group_instances,
     instance_pattern_edges,
 )
+from repro.graphs.peeling import instance_peel
 
 
 def brute_cliques(edges, n, h):
@@ -52,8 +48,8 @@ def test_list_cliques_empty_graph():
 
 
 def test_clique_degrees():
-    tris = [(0, 1, 2), (0, 1, 3)]
-    deg = clique_degrees(tris, 4)
+    tris = np.array([(0, 1, 2), (0, 1, 3)])
+    deg = degrees(tris, 4)
     assert deg.tolist() == [2, 2, 1, 1]
 
 
@@ -63,9 +59,11 @@ def test_sub_cliques_dedup():
 
 
 def test_degeneracy_order_is_permutation():
+    # kClist's degeneracy order is the sequential peel's removal order
     e = canonical_edges(np.array([[0, 1], [1, 2], [2, 3]]))
-    order = degeneracy_order(e, 4)
-    assert sorted(order.tolist()) == [0, 1, 2, 3]
+    order = instance_peel(e, 4)[2]
+    assert sorted(order) == [0, 1, 2, 3]
+    assert order == [0, 1, 2, 3]  # min degree first, ties by smaller id
 
 
 # ---- pattern brute forces ---------------------------------------------------
@@ -141,7 +139,7 @@ def test_instance_pattern_edges_within_instance():
 
 
 def test_instance_pattern_edges_clique():
-    assert sorted(instance_pattern_edges((1, 2, 3), None)) == [
+    assert sorted(instance_pattern_edges((1, 2, 3), "clique:3")) == [
         (1, 2), (1, 3), (2, 3)
     ]
 

@@ -56,7 +56,7 @@ def test_clique_density_search_matches_brute(seed):
         return Fraction(sum(1 for c in cl if all(v in S for v in c)), len(S))
 
     rho, w = goldberg_search(
-        lambda a: build_clique_network(e, n, cl, lams, a), n, lo, witness,
+        lambda a: build_clique_network(n, cl, lams, a), n, lo, witness,
         Fraction(len(cl), 1), density_of,
     )
     assert rho == rho_b and density_of(w) == rho_b

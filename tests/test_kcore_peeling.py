@@ -1,12 +1,13 @@
-"""k-core / peeling kernels vs brute-force references."""
+"""k-core / peeling kernels vs brute-force and loop references."""
+import heapq
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.graphs.graph import canonical_edges, degrees
-from repro.graphs.kcore import core_numbers, k_core_nodes
-from repro.graphs.peeling import charikar_peel, instance_core, instance_peel
+from repro.graphs.graph import canonical_edges
+from repro.graphs.kcore import k_core_nodes
+from repro.graphs.peeling import charikar_peel, instance_peel
 
 
 def brute_k_core(edges, n, k):
@@ -41,11 +42,14 @@ def test_k_core_zero_returns_all():
 
 
 def test_core_numbers_clique_plus_tail():
-    # K4 (core 3) with a path tail (core 1)
+    # K4 (core 3) with a path tail (core 1); core number = running max of
+    # the degrees the sequential peel pops
     e = canonical_edges(
         np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4], [4, 5]])
     )
-    cn = core_numbers(e, 6)
+    _, _, order, _, popped = instance_peel(e, 6)
+    cn = np.zeros(6, dtype=np.int64)
+    cn[order] = np.maximum.accumulate(popped)
     assert cn[:4].tolist() == [3, 3, 3, 3]
     assert cn[4] == 1 and cn[5] == 1
 
@@ -87,16 +91,16 @@ def test_instance_peel_matches_edge_peel_on_edges():
 
 def test_instance_core_triangle_instances():
     # two triangles sharing node 2; instance = triangle
-    tris = [(0, 1, 2), (2, 3, 4)]
-    assert instance_core(tris, 5, 1) == {0, 1, 2, 3, 4}
-    assert instance_core(tris, 5, 2) == set()
+    tris = np.array([(0, 1, 2), (2, 3, 4)])
+    assert k_core_nodes(tris, 5, 1).tolist() == [0, 1, 2, 3, 4]
+    assert k_core_nodes(tris, 5, 2).size == 0
 
 
 def test_instance_core_removal_cascade():
     # instance degree of 2 is 2; removing others kills all instances
-    tris = [(0, 1, 2), (0, 1, 3)]
-    core = instance_core(tris, 4, 2)
-    assert core == set()  # nodes 2,3 have degree 1 -> cascade kills all
+    tris = np.array([(0, 1, 2), (0, 1, 3)])
+    core = k_core_nodes(tris, 4, 2)
+    assert core.size == 0  # nodes 2,3 have degree 1 -> cascade kills all
 
 
 def test_instance_peel_empty():
@@ -148,3 +152,117 @@ def test_k_core_matches_brute_n300(seed, k):
     e = canonical_edges(g.integers(0, n, size=(int(g.integers(300, 900)), 2)))
     got = set(k_core_nodes(e, n, k).tolist())
     assert got == brute_k_core([tuple(x) for x in e.tolist()], n, k)
+
+
+# ---- loop references for the numpy / weighted primitives -------------------
+
+def reference_core(instances, n, k, weights=None):
+    """Queue-based (k, ·)-core: drop a node once its surviving instances
+    weigh < k, and kill its instances (the pre-numpy instance core)."""
+    w = [1] * len(instances) if weights is None else list(weights)
+    inst_of = [[] for _ in range(n)]
+    deg = [0] * n
+    for i, inst in enumerate(instances):
+        for v in inst:
+            inst_of[v].append(i)
+            deg[v] += w[i]
+    alive = [d > 0 for d in deg]
+    inst_alive = [True] * len(instances)
+    queue = [v for v in range(n) if alive[v] and deg[v] < k]
+    for v in queue:
+        alive[v] = False
+    while queue:
+        v = queue.pop()
+        for i in inst_of[v]:
+            if inst_alive[i]:
+                inst_alive[i] = False
+                for u in instances[i]:
+                    if u != v and alive[u]:
+                        deg[u] -= w[i]
+                        if deg[u] < k:
+                            alive[u] = False
+                            queue.append(u)
+    return {v for v in range(n) if alive[v]}
+
+
+def reference_weighted_peel(instances, n, weights):
+    """Heap min-weighted-degree peel (the former EDS peel): best suffix
+    density and the node set achieving it."""
+    inst_of = [[] for _ in range(n)]
+    wdeg = [0] * n
+    for i, (nodes, w) in enumerate(zip(instances, weights)):
+        for v in nodes:
+            inst_of[v].append(i)
+            wdeg[v] += w
+    cur = {v for v in range(n) if inst_of[v]}
+    total = sum(weights)
+    best, best_set = Fraction(total, len(cur)), set(cur)
+    heap = [(wdeg[v], v) for v in cur]
+    heapq.heapify(heap)
+    item_alive = [True] * len(instances)
+    removed = [False] * n
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != wdeg[v]:
+            continue
+        removed[v] = True
+        cur.discard(v)
+        for i in inst_of[v]:
+            if item_alive[i]:
+                item_alive[i] = False
+                total -= weights[i]
+                for u in instances[i]:
+                    if u != v and not removed[u]:
+                        wdeg[u] -= weights[i]
+                        heapq.heappush(heap, (wdeg[u], u))
+        if cur and Fraction(total, len(cur)) > best:
+            best, best_set = Fraction(total, len(cur)), set(cur)
+    return best, best_set
+
+
+def random_instances(seed, r, n=14):
+    """Random distinct r-node instances (rows of distinct nodes) and
+    integer weights spanning 1 to 10**6, like scaled probabilities."""
+    g = np.random.default_rng(seed)
+    m = int(g.integers(5, 40))
+    rows = {tuple(sorted(g.choice(n, size=r, replace=False).tolist())) for _ in range(m)}
+    inst = np.array(sorted(rows), dtype=np.int64)
+    weights = g.integers(1, 10**6, size=len(inst))
+    return inst, weights, n
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_k_core_matches_reference_core(seed, r, weighted):
+    inst, weights, n = random_instances(seed, r)
+    w = weights if weighted else None
+    rows = inst.tolist()
+    total = int(weights.sum()) if weighted else len(rows)
+    for k in (1, 2, 3, total // n, total // 3):
+        got = set(k_core_nodes(inst, n, k, w).tolist())
+        assert got == reference_core(rows, n, k, None if w is None else w.tolist())
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_weighted_instance_peel_matches_reference(seed, r):
+    inst, weights, n = random_instances(seed, r)
+    best, best_set, _, _, _ = instance_peel(inst, n, weights)
+    ref_best, ref_set = reference_weighted_peel(inst.tolist(), n, weights.tolist())
+    assert (best, best_set) == (ref_best, ref_set)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("r", [3, 4])
+def test_batch_peel_on_instances_is_achieved_and_within_r(seed, r):
+    inst, _, n = random_instances(seed, r)
+    best, best_set = charikar_peel(inst, n)
+    mask = np.zeros(n, dtype=bool)
+    mask[list(best_set)] = True
+    assert Fraction(int(mask[inst].all(axis=1).sum()), len(best_set)) == best
+    # brute-force ρ* over all 2^n node subsets
+    subsets = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1 == 1
+    inside = subsets[:, inst].all(axis=2).sum(axis=1)
+    rho = max(Fraction(int(c), int(k)) for c, k in zip(inside, subsets.sum(axis=1)))
+    assert best <= rho <= r * best

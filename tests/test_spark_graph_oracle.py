@@ -7,48 +7,16 @@ from repro.core.uncertain import UncertainGraph
 from repro.datasets import karate_club
 from repro.oracle import assert_equivalent
 from repro.spark_graph import (
-    degrees_df,
-    k_core_df,
     probabilistic_clustering_coefficient,
     probabilistic_density,
     triangles_df,
-    weighted_degrees_df,
 )
-from repro.spark_graph.metrics import expected_edge_density_df
 
 
 @pytest.fixture(scope="module")
 def karate(spark):
     ug = karate_club()
     return ug, ug.to_df(spark).cache()
-
-
-def test_degrees_oracle(spark, karate):
-    _, edf = karate
-    got = degrees_df(edf)
-    assert_equivalent(
-        got,
-        """
-        SELECT node, count(*) AS degree FROM (
-            SELECT u AS node FROM edges UNION ALL SELECT v FROM edges
-        ) GROUP BY node
-        """,
-        edges=edf,
-    )
-
-
-def test_weighted_degrees_oracle(spark, karate):
-    _, edf = karate
-    got = weighted_degrees_df(edf)
-    assert_equivalent(
-        got,
-        """
-        SELECT node, sum(p) AS wdegree FROM (
-            SELECT u AS node, p FROM edges UNION ALL SELECT v, p FROM edges
-        ) GROUP BY node
-        """,
-        edges=edf,
-    )
 
 
 def test_triangles_oracle(spark, karate):
@@ -70,24 +38,6 @@ def test_triangles_oracle(spark, karate):
 def test_triangle_count_karate(spark, karate):
     _, edf = karate
     assert triangles_df(edf).count() == 45  # known for Zachary's club
-
-
-def test_k_core_oracle_against_kernel(spark, karate):
-    ug, edf = karate
-    from repro.graphs.kcore import k_core_nodes
-
-    for k in (2, 3, 4):
-        core_edges = k_core_df(edf, k)
-        got_nodes = set()
-        for r in core_edges.select("u", "v").collect():
-            got_nodes |= {r.u, r.v}
-        exp = set(k_core_nodes(ug.edges, ug.n, k).tolist())
-        assert got_nodes == exp
-
-
-def test_k_core_empty_when_k_too_big(spark, karate):
-    _, edf = karate
-    assert k_core_df(edf, 50).count() == 0
 
 
 def test_probabilistic_density_matches_pandas(spark, karate):
@@ -121,16 +71,6 @@ def test_pcc_triangle_formula(spark):
 def test_pcc_no_wedges(spark):
     edf = spark.createDataFrame(pd.DataFrame({"u": [0], "v": [1], "p": [0.5]}))
     assert probabilistic_clustering_coefficient(edf, frozenset({0, 1})) == 0.0
-
-
-def test_expected_edge_density_df_matches_kernel(spark, karate):
-    ug, edf = karate
-    from repro.core.estimate import expected_density
-
-    U = frozenset(range(12))
-    assert expected_edge_density_df(edf, U) == pytest.approx(
-        expected_density(ug, U, "edge")
-    )
 
 
 def test_pcc_oracle_full_graph(spark, karate):

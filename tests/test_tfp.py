@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.core.tfp import support_of, topk_closed_itemsets
+from repro.core.tfp import topk_closed_itemsets
 
 
 def brute_closed(transactions):
@@ -69,13 +69,6 @@ def test_closedness_no_superset_same_support():
 
 def test_empty_transactions():
     assert topk_closed_itemsets([], 5, 1) == []
-
-
-def test_support_of():
-    txs = [(frozenset({1, 2, 3}), 1.5), (frozenset({2, 3}), 1.0)]
-    assert support_of(txs, frozenset({2, 3})) == pytest.approx(2.5)
-    assert support_of(txs, frozenset({1})) == pytest.approx(1.5)
-    assert support_of(txs, frozenset({9})) == 0.0
 
 
 def test_deterministic_tie_break():
